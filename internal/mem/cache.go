@@ -76,6 +76,15 @@ type cacheLine struct {
 	key     uint32
 	lastUse int64
 	data    []byte
+
+	// Writeback encoding memo: FlushDirty encodes a dirty line once
+	// and keeps the result here until the writeback issues, so a full
+	// port does not re-run Encode (compression, HZ and clear-state
+	// side effects) every retry cycle. Anything that changes the
+	// line's data or identity clears encoded.
+	encoded bool
+	encAddr uint32
+	enc     []byte
 }
 
 type missState uint8
@@ -216,8 +225,10 @@ func (c *Cache) Write(key uint32, off int, src []byte) {
 	if w < 0 || !c.sets[set][w].valid {
 		panic(fmt.Sprintf("%s: Write of non-resident line %#x", c.cfg.Name, key))
 	}
-	copy(c.sets[set][w].data[off:], src)
-	c.sets[set][w].dirty = true
+	ln := &c.sets[set][w]
+	copy(ln.data[off:], src)
+	ln.dirty = true
+	ln.encoded = false
 }
 
 // RequestFill queues a miss for the line. It returns false when the
@@ -264,6 +275,7 @@ func (c *Cache) RequestFill(cycle int64, key uint32) bool {
 	}
 	ln.valid = false
 	ln.dirty = false
+	ln.encoded = false
 	ln.pending = true
 	ln.key = key
 	c.miss = append(c.miss, entry)
@@ -400,6 +412,9 @@ func (c *Cache) PendingMisses() int { return len(c.miss) }
 // dirty bits; returns false while some line's writeback could not be
 // issued this cycle (call again next cycle). Used at frame boundaries
 // so the DAC and the functional comparison read consistent memory.
+// Each line is encoded once, on the first call that reaches it; a
+// retry reuses the memoized bytes, so Encode runs once per line
+// written back.
 func (c *Cache) FlushDirty(cycle int64) bool {
 	done := true
 	for s := range c.sets {
@@ -408,9 +423,13 @@ func (c *Cache) FlushDirty(cycle int64) bool {
 			if !ln.valid || !ln.dirty {
 				continue
 			}
-			addr, raw := c.hooks.Encode(ln.key, ln.data)
-			need := transactionsFor(len(raw))
-			if c.port.limit-c.port.outstanding < need {
+			if !ln.encoded {
+				// Copy: hooks may return a scratch buffer they reuse.
+				addr, raw := c.hooks.Encode(ln.key, ln.data)
+				ln.encAddr, ln.enc, ln.encoded = addr, append(ln.enc[:0], raw...), true
+			}
+			raw := ln.enc
+			if c.port.limit-c.port.outstanding < transactionsFor(len(raw)) {
 				done = false
 				continue
 			}
@@ -419,9 +438,10 @@ func (c *Cache) FlushDirty(cycle int64) bool {
 				if end > len(raw) {
 					end = len(raw)
 				}
-				c.port.Write(cycle, addr+uint32(off), raw[off:end], 0)
+				c.port.Write(cycle, ln.encAddr+uint32(off), raw[off:end], 0)
 			}
 			ln.dirty = false
+			ln.encoded = false
 			c.statEvicts.Inc()
 		}
 	}
@@ -443,9 +463,11 @@ func (c *Cache) InvalidateAll() {
 	}
 	for s := range c.sets {
 		for w := range c.sets[s] {
-			c.sets[s][w].valid = false
-			c.sets[s][w].dirty = false
-			c.sets[s][w].pending = false
+			ln := &c.sets[s][w]
+			ln.valid = false
+			ln.dirty = false
+			ln.pending = false
+			ln.encoded = false
 		}
 	}
 }

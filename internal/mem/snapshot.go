@@ -201,6 +201,7 @@ func (c *Cache) RestoreFrom(d *chkpt.Decoder) error {
 			ln.key = d.U32()
 			ln.lastUse = d.I64()
 			ln.pending = false
+			ln.encoded = false
 			if ln.valid {
 				data := d.Blob()
 				if d.Err() == nil && len(data) != c.cfg.LineBytes {
