@@ -8,7 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the concurrency and robustness gate: vet, the race
+# check is the concurrency and robustness gate: gofmt (any file
+# `gofmt -l` lists fails the gate), vet, the race
 # detector over the packages that run under the parallel clock loop
 # (including the observability layer, whose bus and profiler read
 # shared state live), the watchdog/cancellation/metrics paths raced
@@ -31,6 +32,8 @@ test:
 # takeover), the cancel/complete terminal-state race, and a fuzz smoke
 # over the trace reader.
 check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core/... ./internal/mem/... ./internal/obsv/... ./internal/chkpt/... ./internal/chaos/...
 	$(GO) test -race -run 'Watchdog|Deadlock|Cancel|ParallelMetrics' ./internal/gpu/ .

@@ -102,7 +102,7 @@ func main() {
 			traceSample: rate, traceSeed: *traceSeed,
 			fleetDir: *fleetDir, peerID: *peerID, leaseTTL: *leaseTTL,
 			maxClaims: *maxClaims,
-			tenant: *tenant, priority: *priority,
+			tenant:    *tenant, priority: *priority,
 		}))
 	}
 

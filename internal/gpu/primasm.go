@@ -16,9 +16,9 @@ type PrimAssembly struct {
 	triOut *Flow
 
 	queue   core.FIFO[*ShadedVertex] // input queue (Table 1: 8 entries)
-	window  []*ShadedVertex // primitive assembly window
-	count   int             // vertices consumed for the current batch
-	pending *TriWork        // second triangle of a completed quad
+	window  []*ShadedVertex          // primitive assembly window
+	count   int                      // vertices consumed for the current batch
+	pending *TriWork                 // second triangle of a completed quad
 
 	statTris core.Shadow
 	statBusy core.Shadow

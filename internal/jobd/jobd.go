@@ -191,7 +191,7 @@ type TenantClass struct {
 type SweepSpec struct {
 	Name string `json:"name"`
 	// Defaults fills zero fields of every job in the sweep.
-	Defaults JobSpec `json:"defaults,omitempty"`
+	Defaults JobSpec   `json:"defaults,omitempty"`
 	Jobs     []JobSpec `json:"jobs"`
 }
 
